@@ -3,7 +3,9 @@
  * CI perf-regression gate. Compares a bench's `--json` output against
  * a committed bounds file: every bound names a record and a set of
  * per-value *upper* limits, so improvements always pass and only
- * regressions fail. Bounds carry headroom over the numbers recorded
+ * regressions fail. An entry may also carry *lower* limits ("min"),
+ * for values that size the workload rather than measure its cost (a
+ * gate is only meaningful if the run reached the size it claims). Bounds carry headroom over the numbers recorded
  * in EXPERIMENTS.md to absorb workload-size differences between the
  * `--smoke` and full runs, both of which must stay under them.
  *
@@ -123,9 +125,12 @@ main(int argc, char **argv)
     for (const JsonValue &entry : entries->array) {
         const JsonValue *rec_name = entry.find("record");
         const JsonValue *max = entry.find("max");
+        const JsonValue *min = entry.find("min");
         if (rec_name == nullptr ||
             rec_name->type != JsonValue::Type::String ||
-            max == nullptr || !max->isObject()) {
+            (max == nullptr && min == nullptr) ||
+            (max != nullptr && !max->isObject()) ||
+            (min != nullptr && !min->isObject())) {
             fail("malformed bounds entry");
             continue;
         }
@@ -136,27 +141,33 @@ main(int argc, char **argv)
             continue;
         }
         const JsonValue *values = rec->find("values");
-        for (const auto &[key, limit] : max->object) {
-            ++checks;
-            if (!limit.isNumber() || !std::isfinite(limit.number)) {
-                fail(rec_name->string + "." + key + ": bad limit");
+        for (const JsonValue *limits : {max, min}) {
+            if (limits == nullptr)
                 continue;
+            const bool upper = limits == max;
+            for (const auto &[key, limit] : limits->object) {
+                ++checks;
+                const std::string what = rec_name->string + "." + key;
+                if (!limit.isNumber() || !std::isfinite(limit.number)) {
+                    fail(what + ": bad limit");
+                    continue;
+                }
+                const JsonValue *v =
+                    values != nullptr ? values->find(key) : nullptr;
+                if (v == nullptr || !v->isNumber()) {
+                    fail(what + ": value missing from bench output");
+                    continue;
+                }
+                if (upper ? v->number > limit.number
+                          : v->number < limit.number) {
+                    fail(what + ": " + std::to_string(v->number) +
+                         (upper ? " exceeds bound " : " below bound ") +
+                         std::to_string(limit.number));
+                    continue;
+                }
+                std::printf("ok   %s: %g %s %g\n", what.c_str(), v->number,
+                            upper ? "<=" : ">=", limit.number);
             }
-            const JsonValue *v =
-                values != nullptr ? values->find(key) : nullptr;
-            if (v == nullptr || !v->isNumber()) {
-                fail(rec_name->string + "." + key +
-                     ": value missing from bench output");
-                continue;
-            }
-            if (v->number > limit.number) {
-                fail(rec_name->string + "." + key + ": " +
-                     std::to_string(v->number) + " exceeds bound " +
-                     std::to_string(limit.number));
-                continue;
-            }
-            std::printf("ok   %s.%s: %g <= %g\n", rec_name->string.c_str(),
-                        key.c_str(), v->number, limit.number);
         }
     }
     if (failures == 0)

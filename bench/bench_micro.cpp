@@ -124,17 +124,30 @@ BM_BTreeInsertWallClock(benchmark::State &state)
 }
 NVWAL_BENCHMARK_REPEATED(BM_BTreeInsertWallClock);
 
+/**
+ * Host-time cost of the full commit path (diff computation, frame
+ * encode, simulated persistence bookkeeping): 4-row transactions, a
+ * checkpoint (untimed) every 2000 commits.
+ *
+ * The three variants below differ only in the observability knobs and
+ * run the same fixed number of commits: the commit cost depends on
+ * how far the database has grown, so free-running iteration counts
+ * would make their deltas measure run length instead of the knob.
+ * For the overhead rows in EXPERIMENTS.md also pass
+ * --benchmark_enable_random_interleaving=true, which interleaves the
+ * variants' repetitions so host load lands on all three alike.
+ */
 void
-BM_TransactionCommitNvwal(benchmark::State &state)
+runCommitPath(benchmark::State &state, bool flight_recorder, bool traced)
 {
-    // Host-time cost of the full commit path (diff computation,
-    // frame encode, simulated persistence bookkeeping).
     EnvConfig env_config;
     env_config.cost = CostModel::tuna(500);
     Env env(env_config);
+    env.stats.tracer().setEnabled(traced);
     DbConfig config;
     config.walMode = WalMode::Nvwal;
     config.autoCheckpoint = false;
+    config.flightRecorder = flight_recorder;
     std::unique_ptr<Database> db;
     NVWAL_CHECK_OK(Database::open(env, config, &db));
     ByteBuffer value(100, 0x11);
@@ -156,84 +169,49 @@ BM_TransactionCommitNvwal(benchmark::State &state)
     }
     state.SetItemsProcessed(committed);
 }
-NVWAL_BENCHMARK_REPEATED(BM_TransactionCommitNvwal);
+
+/**
+ * Commits per run of every commit-path variant. A fixed count excludes
+ * a warm-up window (google-benchmark allows one or the other); each
+ * variant then pays the same cold start.
+ */
+constexpr benchmark::IterationCount kCommitPathIterations = 20000;
+
+#define NVWAL_COMMIT_PATH_BENCHMARK(fn) \
+    BENCHMARK(fn)->Iterations(kCommitPathIterations)->Repetitions(3)-> \
+        ReportAggregatesOnly(true)
+
+void
+BM_TransactionCommitNvwal(benchmark::State &state)
+{
+    runCommitPath(state, true, false);
+}
+NVWAL_COMMIT_PATH_BENCHMARK(BM_TransactionCommitNvwal);
 
 void
 BM_TransactionCommitNvwalRecorderOff(benchmark::State &state)
 {
-    // Same commit path with the flight recorder disabled: the
-    // zero-cost guard's wall-clock side. The recorder writes one
-    // 40-byte plain-store record per begin/ack and never flushes or
-    // fences, so the delta against BM_TransactionCommitNvwal is a
-    // few memcpys per txn; the barrier/flush-count side of the claim
-    // is asserted exactly (FlightRecorder tests, async_bounds gate).
-    EnvConfig env_config;
-    env_config.cost = CostModel::tuna(500);
-    Env env(env_config);
-    DbConfig config;
-    config.walMode = WalMode::Nvwal;
-    config.autoCheckpoint = false;
-    config.flightRecorder = false;
-    std::unique_ptr<Database> db;
-    NVWAL_CHECK_OK(Database::open(env, config, &db));
-    ByteBuffer value(100, 0x11);
-    RowId key = 0;
-    std::int64_t committed = 0;
-    for (auto _ : state) {
-        NVWAL_CHECK_OK(db->begin());
-        for (int i = 0; i < 4; ++i) {
-            NVWAL_CHECK_OK(db->insert(
-                ++key, ConstByteSpan(value.data(), value.size())));
-        }
-        NVWAL_CHECK_OK(db->commit());
-        ++committed;
-        if (committed % 2000 == 0) {
-            state.PauseTiming();
-            NVWAL_CHECK_OK(db->checkpoint());
-            state.ResumeTiming();
-        }
-    }
-    state.SetItemsProcessed(committed);
+    // The flight recorder off: the zero-cost guard's wall-clock side.
+    // The recorder writes one 40-byte plain-store record per
+    // begin/ack and never flushes or fences, so the delta against
+    // BM_TransactionCommitNvwal is a few memcpys per txn; the
+    // barrier/flush-count side of the claim is asserted exactly
+    // (FlightRecorder tests, async_bounds gate).
+    runCommitPath(state, false, false);
 }
-NVWAL_BENCHMARK_REPEATED(BM_TransactionCommitNvwalRecorderOff);
+NVWAL_COMMIT_PATH_BENCHMARK(BM_TransactionCommitNvwalRecorderOff);
 
 void
 BM_TransactionCommitNvwalTraced(benchmark::State &state)
 {
-    // Same commit path with the phase tracer enabled: the overhead
-    // guard. Compare against BM_TransactionCommitNvwal; the delta is
-    // the full tracing bill (ring stores + clock reads). The
-    // disabled-tracer cost is a single branch per record site and is
-    // within run-to-run noise (EXPERIMENTS.md, tracing overhead).
-    EnvConfig env_config;
-    env_config.cost = CostModel::tuna(500);
-    Env env(env_config);
-    env.stats.tracer().setEnabled(true);
-    DbConfig config;
-    config.walMode = WalMode::Nvwal;
-    config.autoCheckpoint = false;
-    std::unique_ptr<Database> db;
-    NVWAL_CHECK_OK(Database::open(env, config, &db));
-    ByteBuffer value(100, 0x11);
-    RowId key = 0;
-    std::int64_t committed = 0;
-    for (auto _ : state) {
-        NVWAL_CHECK_OK(db->begin());
-        for (int i = 0; i < 4; ++i) {
-            NVWAL_CHECK_OK(db->insert(
-                ++key, ConstByteSpan(value.data(), value.size())));
-        }
-        NVWAL_CHECK_OK(db->commit());
-        ++committed;
-        if (committed % 2000 == 0) {
-            state.PauseTiming();
-            NVWAL_CHECK_OK(db->checkpoint());
-            state.ResumeTiming();
-        }
-    }
-    state.SetItemsProcessed(committed);
+    // The phase tracer on: the overhead guard. The delta against
+    // BM_TransactionCommitNvwal is the full tracing bill (ring stores
+    // + clock reads). The disabled-tracer cost is a single branch per
+    // record site and is within run-to-run noise (EXPERIMENTS.md,
+    // tracing overhead).
+    runCommitPath(state, true, true);
 }
-NVWAL_BENCHMARK_REPEATED(BM_TransactionCommitNvwalTraced);
+NVWAL_COMMIT_PATH_BENCHMARK(BM_TransactionCommitNvwalTraced);
 
 void
 BM_WalReadHotPage(benchmark::State &state)

@@ -1,5 +1,10 @@
 #include "connection.hpp"
 
+#include <algorithm>
+#include <chrono>
+#include <thread>
+
+#include "common/rng.hpp"
 #include "db/catalog_codec.hpp"
 
 namespace nvwal
@@ -21,9 +26,25 @@ Connection::~Connection()
 }
 
 void
-Connection::noteConflictRetry()
+Connection::noteConflictRetry(int attempt)
 {
     _db._env.stats.add(stats::kDbTxnConflictRetries);
+    if (attempt < 4)
+        return;
+    // Losing repeatedly means other writers keep republishing the
+    // pages this transaction reads. A bare yield sends the loser
+    // straight back into the same collision, so several hot writers
+    // can starve one of them through its whole retry budget. Sleep a
+    // bounded exponential back-off instead (2 us doubling per retry,
+    // capped at ~1 ms), jittered per connection so the losers do not
+    // wake in lockstep.
+    const std::uint64_t ceiling_us = std::uint64_t{2}
+                                     << std::min(attempt - 4, 9);
+    std::uint64_t seed = reinterpret_cast<std::uintptr_t>(this) ^
+                         static_cast<std::uint64_t>(attempt);
+    const std::uint64_t us =
+        ceiling_us / 2 + splitMix64(seed) % (ceiling_us / 2 + 1);
+    std::this_thread::sleep_for(std::chrono::microseconds(us));
 }
 
 // ---- read transactions ---------------------------------------------

@@ -146,12 +146,7 @@ class Connection
             if (!s.isConflict() || attempt >= options.maxConflictRetries)
                 return s;
             ++attempt;
-            noteConflictRetry();
-            // Losing repeatedly usually means the winning committer
-            // is mid-publish on another core; give it the CPU rather
-            // than burning the retry budget against the same epoch.
-            if (attempt >= 4)
-                std::this_thread::yield();
+            noteConflictRetry(attempt);
         }
     }
 
@@ -236,8 +231,11 @@ class Connection
     /** Fold the casual snapshot's read tallies into the registry. */
     void foldCasualStats();
 
-    /** Count one optimistic retry (transact()). */
-    void noteConflictRetry();
+    /**
+     * Count optimistic retry number @p attempt (transact()); from the
+     * 4th on, back off before it is run.
+     */
+    void noteConflictRetry(int attempt);
 
     Database &_db;
     const ConnectOptions _options;

@@ -20,15 +20,25 @@
  * throws PowerFailure after applying the configured survival policy.
  * Crash-recovery tests sweep N across a transaction to exercise
  * every intermediate state (section 4.3 failure cases).
+ *
+ * Layout (DESIGN.md §5.1): one state byte per line says whether the
+ * line has a cached and/or a queued copy. Only lines with a bit set
+ * own a slot in a reused pool of line buffers, found through a flat
+ * line -> slot index, so reads copy runs of clean lines straight
+ * from the media and flush/drain are a state flip plus a line copy.
+ * Drain and power failure walk lines in ascending order, which keeps
+ * adversarial tear draws reproducible for a given seed.
  */
 
 #ifndef NVWAL_NVRAM_NVRAM_DEVICE_HPP
 #define NVWAL_NVRAM_NVRAM_DEVICE_HPP
 
 #include <cstdint>
+#include <cstdlib>
 #include <exception>
 #include <mutex>
-#include <unordered_map>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -64,6 +74,46 @@ enum class FailurePolicy
     Adversarial,
     /** Everything survives (DRAM-like; for differential testing). */
     AllSurvive,
+};
+
+/**
+ * Allocator whose fresh storage is already zero (calloc), so a
+ * vector sized with vector(n) skips value-initialization. A large
+ * zeroed table is then mapped lazily, page by page, as it is first
+ * written, and costs resident memory only where it is used.
+ */
+template <typename T>
+struct ZeroedAllocator
+{
+    using value_type = T;
+
+    ZeroedAllocator() = default;
+    template <typename U>
+    ZeroedAllocator(const ZeroedAllocator<U> &) noexcept
+    {}
+
+    T *
+    allocate(std::size_t n)
+    {
+        void *p = std::calloc(n, sizeof(T));
+        if (p == nullptr)
+            throw std::bad_alloc();
+        return static_cast<T *>(p);
+    }
+    void deallocate(T *p, std::size_t) noexcept { std::free(p); }
+
+    /** Default construction leaves the calloc zeros in place. */
+    template <typename U>
+    void construct(U *) noexcept
+    {}
+    template <typename U, typename... Args>
+    void
+    construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+    }
+
+    bool operator==(const ZeroedAllocator &) const { return true; }
 };
 
 /**
@@ -155,7 +205,7 @@ class NvramDevice
     dirtyLineCount() const
     {
         std::lock_guard<std::recursive_mutex> g(_mu);
-        return _cache.size();
+        return _lines.cachedCount;
     }
 
     /** Number of flushed-but-undrained lines; test introspection. */
@@ -163,7 +213,7 @@ class NvramDevice
     queuedLineCount() const
     {
         std::lock_guard<std::recursive_mutex> g(_mu);
-        return _queue.size();
+        return _lines.queued.size();
     }
 
     /** Direct durable-media peek, bypassing the cache (tests). */
@@ -171,10 +221,24 @@ class NvramDevice
 
     // ---- image snapshot / restore ----------------------------------
 
-    /** One simulated cache line (full _lineSize bytes, tail padded). */
-    struct Line
+    /**
+     * Volatile line state: the simulated CPU cache and persist queue.
+     * A line with a state bit set owns a pool slot holding its cached
+     * copy and its queued copy side by side (full line size each,
+     * the tail of a partial last line zero).
+     */
+    struct Lines
     {
-        ByteBuffer data;
+        /** kCached|kQueued per line; zero pages until first used. */
+        std::vector<std::uint8_t, ZeroedAllocator<std::uint8_t>> state;
+        ByteBuffer pool;                      //!< 2 line buffers per slot
+        std::vector<std::uint64_t> slotLine;  //!< owner line, or kFreeSlot
+        std::vector<std::uint32_t> freeSlots;
+        /** Open-addressing line -> slot index (slot + 1; 0 = empty). */
+        std::vector<std::uint32_t> index;
+        /** Queued lines in flush order; drain sorts them. */
+        std::vector<std::uint64_t> queued;
+        std::size_t cachedCount = 0;
     };
 
     /**
@@ -186,8 +250,7 @@ class NvramDevice
     struct Snapshot
     {
         ByteBuffer durable;
-        std::unordered_map<std::uint64_t, Line> cache;
-        std::unordered_map<std::uint64_t, Line> queue;
+        Lines lines;
         std::uint64_t opCount = 0;
         Rng rng{0};
     };
@@ -212,8 +275,29 @@ class NvramDevice
      *  line of a non-line-multiple device is partial). */
     std::size_t lineSpanBytes(std::uint64_t line_idx) const;
 
+    static constexpr std::uint8_t kCached = 1;  //!< dirty in the cache
+    static constexpr std::uint8_t kQueued = 2;  //!< in the persist queue
+    static constexpr std::uint64_t kFreeSlot = ~0ull;
+
     void countOp();
-    void applyLineToDurable(std::uint64_t line_idx, const ByteBuffer &data);
+    void applyLineToDurable(std::uint64_t line_idx, const std::uint8_t *data);
+
+    // Pool slots of the lines whose state is non-zero.
+    std::size_t bucketOf(std::uint64_t line_idx) const;
+    std::uint32_t findSlot(std::uint64_t line_idx) const;
+    std::uint32_t claimSlot(std::uint64_t line_idx);
+    void releaseSlot(std::uint64_t line_idx);
+    void indexSlot(std::uint32_t slot);
+    /** Pool offset of a slot's cached copy; the queued copy follows. */
+    std::size_t cachedAt(std::uint32_t slot) const
+    { return std::size_t{2} * slot * _lineSize; }
+    std::size_t queuedAt(std::uint32_t slot) const
+    { return cachedAt(slot) + _lineSize; }
+
+    /** Lines with a cached copy, ascending. */
+    std::vector<std::uint64_t> cachedLines() const;
+    /** Drop every cached and queued line. */
+    void clearVolatile();
 
     /** Recursive: write() nests under writeU64(), powerFail() under
      *  countOp(). Guards every member below. */
@@ -223,10 +307,7 @@ class NvramDevice
     MetricsRegistry &_stats;
     Rng _rng;
 
-    /** Dirty lines not yet flushed (volatile). */
-    std::unordered_map<std::uint64_t, Line> _cache;
-    /** Flushed line snapshots awaiting a persist barrier. */
-    std::unordered_map<std::uint64_t, Line> _queue;
+    Lines _lines;
 
     std::uint64_t _opCount = 0;
     std::uint64_t _crashAtOp = 0;

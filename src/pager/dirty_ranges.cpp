@@ -7,11 +7,62 @@
 namespace nvwal
 {
 
+DirtyRanges &
+DirtyRanges::operator=(const DirtyRanges &other)
+{
+    _mergeGap = other._mergeGap;
+    _maxRanges = other._maxRanges;
+    _ranges = other._ranges;
+    if (_ranges.empty())
+        unlink();
+    else
+        link();
+    return *this;
+}
+
+void
+DirtyRanges::attach(DirtyList *list, std::uint32_t tag)
+{
+    NVWAL_ASSERT(_list == nullptr && _ranges.empty(),
+                 "attach a fresh set, once");
+    _list = list;
+    _tag = tag;
+}
+
+void
+DirtyRanges::link()
+{
+    if (_list == nullptr || _linked)
+        return;
+    _prev = nullptr;
+    _next = _list->head;
+    if (_next != nullptr)
+        _next->_prev = this;
+    _list->head = this;
+    _linked = true;
+}
+
+void
+DirtyRanges::unlink()
+{
+    if (!_linked)
+        return;
+    if (_prev != nullptr)
+        _prev->_next = _next;
+    else
+        _list->head = _next;
+    if (_next != nullptr)
+        _next->_prev = _prev;
+    _prev = _next = nullptr;
+    _linked = false;
+}
+
 void
 DirtyRanges::mark(std::uint32_t lo, std::uint32_t hi)
 {
     if (lo >= hi)
         return;
+    link();  // the clean -> dirty transition; a no-op when listed
 
     // Find the insertion window: every existing range that overlaps
     // or sits within the merge gap of [lo, hi) gets absorbed.

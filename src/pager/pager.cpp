@@ -1,5 +1,6 @@
 #include "pager.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace nvwal
@@ -75,6 +76,7 @@ Pager::getPage(PageNo page_no, CachedPage **out)
 
     auto page = std::make_unique<CachedPage>();
     page->buf.resize(_pageSize);
+    page->dirty.attach(&_dirty, page_no);
     bool from_wal = false;
     if (_walReader) {
         const Status wal = _walReader(page_no, page->span());
@@ -165,6 +167,7 @@ Pager::allocatePage(CachedPage **out, PageNo *page_no)
     no = ++_pageCount;
     auto page = std::make_unique<CachedPage>();
     page->buf.resize(_pageSize, 0);
+    page->dirty.attach(&_dirty, no);
     // A fresh page is logically all-dirty: its first WAL frame must
     // carry the full content.
     page->dirty.mark(0, _pageSize - _reservedBytes);
@@ -237,28 +240,27 @@ std::vector<PageNo>
 Pager::dirtyPageNos() const
 {
     std::vector<PageNo> out;
-    for (const auto &[no, page] : _cache) {
-        if (page->isDirty())
-            out.push_back(no);
-    }
-    return out;  // std::map iteration is already ascending
+    for (const DirtyRanges *d = _dirty.head; d != nullptr;
+         d = d->nextDirty())
+        out.push_back(d->tag());
+    std::sort(out.begin(), out.end());
+    return out;
 }
 
 void
 Pager::markAllClean()
 {
-    for (auto &[no, page] : _cache)
-        page->dirty.clear();
+    while (_dirty.head != nullptr)
+        _dirty.head->clear();  // unlinks the head
 }
 
 void
 Pager::discardDirty(std::uint32_t restore_page_count)
 {
-    for (auto it = _cache.begin(); it != _cache.end();) {
-        if (it->second->isDirty())
-            it = _cache.erase(it);
-        else
-            ++it;
+    while (_dirty.head != nullptr) {
+        // Destroying the page unlinks it from the list.
+        const std::size_t evicted = _cache.erase(_dirty.head->tag());
+        NVWAL_ASSERT(evicted == 1, "dirty page not cached");
     }
     _pageCount = restore_page_count;
 }
@@ -277,7 +279,7 @@ Pager::dropCleanPages()
 void
 Pager::reset()
 {
-    NVWAL_ASSERT(dirtyPageNos().empty(),
+    NVWAL_ASSERT(_dirty.head == nullptr,
                  "reset with dirty pages would lose data");
     _cache.clear();
 }
@@ -285,9 +287,10 @@ Pager::reset()
 Status
 Pager::flushAllToFile()
 {
-    for (auto &[no, page] : _cache) {
-        if (!page->isDirty())
-            continue;
+    // Ascending page order: the file sees the same write sequence a
+    // full-cache walk would issue.
+    for (PageNo no : dirtyPageNos()) {
+        CachedPage *page = cached(no);
         NVWAL_RETURN_IF_ERROR(_dbFile.writePage(no, page->cspan()));
         if (_stats != nullptr)
             _stats->add(stats::kPagerWrites);

@@ -113,7 +113,11 @@ class Pager : public PageSource
     /** Cached entry or nullptr (no I/O). */
     CachedPage *cached(PageNo page_no);
 
-    /** Page numbers of all dirty cached pages, ascending. */
+    /**
+     * Page numbers of all dirty cached pages, ascending. Like
+     * markAllClean(), discardDirty() and flushAllToFile(), this
+     * walks only the dirty list: O(dirty pages), not O(cached).
+     */
     std::vector<PageNo> dirtyPageNos() const;
 
     /** Clear dirty marks after a successful commit. */
@@ -151,6 +155,13 @@ class Pager : public PageSource
     MetricsRegistry *_stats;
     std::uint32_t _pageCount = 0;
     WalReader _walReader;
+    /**
+     * Every cached page's DirtyRanges is attached here, so a page is
+     * on this list iff it went clean -> dirty since it was last
+     * cleaned or discarded. Declared before _cache: evicted pages
+     * unlink themselves on destruction.
+     */
+    DirtyList _dirty;
     std::map<PageNo, std::unique_ptr<CachedPage>> _cache;
 };
 

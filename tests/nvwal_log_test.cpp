@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <type_traits>
 
 #include "core/nvwal_log.hpp"
 #include "db/env.hpp"
@@ -26,8 +27,14 @@ struct SchemeParam
     SyncMode sync;
     bool diff;
     bool userHeap;
+    /** gtest prints the parameter's raw bytes into each test's name; an
+     *  explicit, zeroed field in place of the padding keeps those bytes,
+     *  and so the names, the same on every run. */
+    std::uint16_t zero;
     const char *label;
 };
+static_assert(std::has_unique_object_representations_v<SchemeParam>,
+              "SchemeParam must have no padding bytes");
 
 class NvwalLogTest : public ::testing::TestWithParam<SchemeParam>
 {
@@ -309,13 +316,13 @@ TEST_P(NvwalLogTest, BaseFileReadFaultPropagatesAsStatus)
 INSTANTIATE_TEST_SUITE_P(
     Schemes, NvwalLogTest,
     ::testing::Values(
-        SchemeParam{SyncMode::Lazy, false, false, "LS"},
-        SchemeParam{SyncMode::Lazy, true, false, "LS_Diff"},
-        SchemeParam{SyncMode::ChecksumAsync, true, false, "CS_Diff"},
-        SchemeParam{SyncMode::Lazy, false, true, "UH_LS"},
-        SchemeParam{SyncMode::Lazy, true, true, "UH_LS_Diff"},
-        SchemeParam{SyncMode::ChecksumAsync, true, true, "UH_CS_Diff"},
-        SchemeParam{SyncMode::Eager, true, true, "UH_E_Diff"}),
+        SchemeParam{SyncMode::Lazy, false, false, 0, "LS"},
+        SchemeParam{SyncMode::Lazy, true, false, 0, "LS_Diff"},
+        SchemeParam{SyncMode::ChecksumAsync, true, false, 0, "CS_Diff"},
+        SchemeParam{SyncMode::Lazy, false, true, 0, "UH_LS"},
+        SchemeParam{SyncMode::Lazy, true, true, 0, "UH_LS_Diff"},
+        SchemeParam{SyncMode::ChecksumAsync, true, true, 0, "UH_CS_Diff"},
+        SchemeParam{SyncMode::Eager, true, true, 0, "UH_E_Diff"}),
     [](const auto &info) { return std::string(info.param.label); });
 
 // ---- scheme-specific behaviour ------------------------------------
